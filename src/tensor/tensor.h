@@ -13,17 +13,47 @@
 #ifndef FAIRWOS_TENSOR_TENSOR_H_
 #define FAIRWOS_TENSOR_TENSOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "tensor/arena.h"
 
 namespace fairwos::tensor {
+
+/// Alignment of every tensor's storage: one cache line, one 512-bit vector.
+inline constexpr size_t kTensorAlignment = 64;
+
+/// Stateless STL allocator handing out kTensorAlignment-aligned storage.
+template <typename T>
+struct AlignedAllocator {
+  using value_type = T;
+
+  AlignedAllocator() noexcept = default;
+  template <typename U>
+  AlignedAllocator(const AlignedAllocator<U>&) noexcept {}  // NOLINT
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(
+        n * sizeof(T), std::align_val_t{kTensorAlignment}));
+  }
+  void deallocate(T* p, size_t) noexcept {
+    ::operator delete(p, std::align_val_t{kTensorAlignment});
+  }
+
+  template <typename U>
+  bool operator==(const AlignedAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+/// The storage type behind TensorImpl::data (docs/kernels.md).
+using FloatBuffer = std::vector<float, AlignedAllocator<float>>;
 
 /// Tensor dimensions; rank 1 and 2 are what the library uses in practice.
 using Shape = std::vector<int64_t>;
@@ -42,8 +72,7 @@ namespace internal {
 /// user code goes through Tensor.
 struct TensorImpl {
   Shape shape;
-  // 64-byte-aligned, arena-backed inside an ArenaScope (tensor/arena.h).
-  FloatBuffer data;
+  FloatBuffer data;  // kTensorAlignment-aligned
   bool requires_grad = false;
   std::vector<float> grad;  // allocated lazily, same length as data
 
@@ -88,7 +117,7 @@ class Tensor {
   static Tensor Ones(Shape shape);
   static Tensor Full(Shape shape, float value);
 
-  /// Takes ownership of `values`; size must match the shape.
+  /// Copies `values` into aligned storage; size must match the shape.
   static Tensor FromVector(Shape shape, std::vector<float> values);
 
   /// A scalar (shape [1]).
@@ -107,7 +136,7 @@ class Tensor {
   int64_t rank() const { return static_cast<int64_t>(impl().shape.size()); }
   int64_t numel() const { return static_cast<int64_t>(impl().data.size()); }
 
-  /// Raw row-major storage (64-byte aligned; see tensor/arena.h).
+  /// Raw row-major storage, kTensorAlignment-aligned.
   const FloatBuffer& data() const { return impl().data; }
   FloatBuffer& mutable_data() { return impl().data; }
 

@@ -7,6 +7,7 @@
 #include "data/synthetic.h"
 #include "eval/harness.h"
 #include "fairness/metrics.h"
+#include "test_util.h"
 
 namespace fairwos::baselines {
 namespace {
@@ -22,7 +23,7 @@ common::Result<core::MethodOutput> FitPredict(core::FairMethod& method,
   return out;
 }
 
-data::Dataset ToyDataset() { return data::MakeDataset("toy", {}).value(); }
+using ::fairwos::testing::ToyDataset;
 
 MethodOptions FastOptions() {
   MethodOptions options;

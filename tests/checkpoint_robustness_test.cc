@@ -16,13 +16,12 @@
 #include "common/fault.h"
 #include "nn/checkpoint.h"
 #include "nn/gnn.h"
+#include "test_util.h"
 
 namespace fairwos::nn {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using ::fairwos::testing::TempPath;
 
 GnnClassifier MakeModel(uint64_t seed, int64_t hidden = 4) {
   common::Rng rng(seed);

@@ -39,6 +39,7 @@
 #include "serve/artifact.h"
 #include "serve/engine.h"
 #include "tensor/tensor.h"
+#include "test_util.h"
 
 namespace fairwos::graph {
 namespace {
@@ -431,11 +432,8 @@ TEST(MutationFaultTest, ExhaustedFaultPlanReportsOnceAndRearms) {
 
 // --- Serving integration --------------------------------------------------
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-data::Dataset ToyDataset() { return data::MakeDataset("toy", {}).value(); }
+using ::fairwos::testing::TempPath;
+using ::fairwos::testing::ToyDataset;
 
 std::string ExportArtifact(const data::Dataset& ds, uint64_t seed,
                            const std::string& path) {

@@ -2,7 +2,7 @@
 // and AVX2 backends must produce bytewise-identical results for every
 // non-reassociating entry point, at any thread count; the opt-in fast-math
 // kernels must stay within documented tolerances of the scalar reference.
-// Plus the arena allocator's alignment / reset / reuse / detach semantics.
+// Plus the 64-byte alignment of tensor storage that the kernels rely on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,8 +13,10 @@
 #include "common/cpuid.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
-#include "tensor/arena.h"
 #include "tensor/backend.h"
+#include "tensor/ops.h"
+#include "tensor/sparse.h"
+#include "tensor/tensor.h"
 
 namespace fairwos::tensor {
 namespace {
@@ -308,123 +310,19 @@ TEST(DispatchTest, SelectAvx2FailsCleanlyWithoutSupport) {
   }
 }
 
-// --- Arena -----------------------------------------------------------------
+// --- Storage alignment -----------------------------------------------------
 
-TEST(ArenaTest, AllocationsAre64ByteAligned) {
-  Arena arena;
-  ArenaScope scope(&arena);
-  for (size_t bytes : {1u, 7u, 64u, 100u, 4096u}) {
-    void* p = ArenaAllocate(bytes);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kArenaAlignment, 0u)
-        << bytes << " bytes";
-    ArenaDeallocate(p);
-  }
-}
-
-TEST(ArenaTest, HeapFallbackIsAlsoAligned) {
-  ASSERT_EQ(CurrentThreadArena(), nullptr);
-  void* p = ArenaAllocate(100);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kArenaAlignment, 0u);
-  ArenaDeallocate(p);
-}
-
-TEST(ArenaTest, EpochResetReusesTheSameBlock) {
-  Arena arena;
-  ArenaScope scope(&arena);
-  void* first = ArenaAllocate(512);
-  ArenaDeallocate(first);
-  arena.EpochReset();
-  void* second = ArenaAllocate(512);
-  // Bump pointer rewound: the same slot is handed out again.
-  EXPECT_EQ(first, second);
-  ArenaDeallocate(second);
-  const Arena::Stats stats = arena.stats();
-  EXPECT_EQ(stats.blocks, 1u);
-  EXPECT_EQ(stats.epoch_resets, 1);
-  EXPECT_EQ(stats.allocations, 2);
-}
-
-TEST(ArenaTest, ResetWithLiveAllocationIsDeferred) {
-  Arena arena;
-  ArenaScope scope(&arena);
-  void* live = ArenaAllocate(256);
-  arena.EpochReset();  // must NOT rewind under `live`
-  EXPECT_EQ(arena.stats().deferred_resets, 1);
-  EXPECT_EQ(arena.stats().epoch_resets, 0);
-  void* after = ArenaAllocate(256);
-  EXPECT_NE(live, after);  // still bump-allocated past the live buffer
-  ArenaDeallocate(after);
-  ArenaDeallocate(live);  // last release runs the deferred reset
-  EXPECT_EQ(arena.stats().epoch_resets, 1);
-  void* reused = ArenaAllocate(256);
-  EXPECT_EQ(live, reused);
-  ArenaDeallocate(reused);
-}
-
-TEST(ArenaTest, OversizeRequestsFallBackToHeap) {
-  Arena arena(Arena::Options{/*block_bytes=*/4096});
-  ArenaScope scope(&arena);
-  void* big = ArenaAllocate(1 << 20);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(big) % kArenaAlignment, 0u);
-  std::memset(big, 0xab, 1 << 20);  // must be writable end to end
-  ArenaDeallocate(big);
-  EXPECT_EQ(arena.stats().oversize_allocs, 1);
-  EXPECT_EQ(arena.stats().allocations, 0);
-}
-
-TEST(ArenaTest, BufferOutlivesItsArena) {
-  FloatBuffer buffer;
-  {
-    Arena arena;
-    ArenaScope scope(&arena);
-    buffer.assign(1000, 2.5f);
-  }  // arena destroyed with `buffer` live: blocks must stay valid
-  for (float v : buffer) ASSERT_EQ(v, 2.5f);
-  buffer.clear();
-  buffer.shrink_to_fit();  // releases the detached arena's last block
-}
-
-TEST(ArenaTest, ScopesNestAndRestore) {
-  Arena outer, inner;
-  ASSERT_EQ(CurrentThreadArena(), nullptr);
-  {
-    ArenaScope a(&outer);
-    EXPECT_EQ(CurrentThreadArena(), &outer);
-    {
-      ArenaScope b(&inner);
-      EXPECT_EQ(CurrentThreadArena(), &inner);
-    }
-    EXPECT_EQ(CurrentThreadArena(), &outer);
-  }
-  EXPECT_EQ(CurrentThreadArena(), nullptr);
-}
-
-TEST(ArenaTest, FloatBufferRoutesThroughScopedArena) {
-  Arena arena;
-  size_t before, after;
-  {
-    ArenaScope scope(&arena);
-    before = arena.stats().bytes_in_use;
-    FloatBuffer buf(10000, 1.0f);
-    after = arena.stats().bytes_in_use;
-    EXPECT_GE(after - before, 10000 * sizeof(float));
-  }
-  EXPECT_EQ(arena.stats().live_allocations, 0);
-}
-
-TEST(ArenaTest, CrossScopeDeallocationRoutesToOwner) {
-  // Allocated under the arena, freed after the scope ended: the header
-  // routes the release back to the owning arena, not the heap.
-  Arena arena;
-  void* p = nullptr;
-  {
-    ArenaScope scope(&arena);
-    p = ArenaAllocate(128);
-  }
-  ASSERT_EQ(CurrentThreadArena(), nullptr);
-  ArenaDeallocate(p);
-  EXPECT_EQ(arena.stats().live_allocations, 0);
-  EXPECT_EQ(arena.stats().bytes_in_use, 0u);
+TEST(TensorStorageTest, DataIs64ByteAligned) {
+  auto aligned = [](const Tensor& t) {
+    return reinterpret_cast<uintptr_t>(t.data().data()) % 64 == 0;
+  };
+  const Tensor a = Tensor::Zeros({3, 5});
+  const Tensor b = Tensor::FromVector({5, 7}, RandomVec(35, 1, false));
+  auto adj = SparseMatrix::FromCoo(3, 3, {{0, 1, 1.0f}, {2, 0, 0.5f}});
+  EXPECT_TRUE(aligned(a));
+  EXPECT_TRUE(aligned(b));
+  EXPECT_TRUE(aligned(MatMul(a, b)));
+  EXPECT_TRUE(aligned(SpMM(adj, a)));
 }
 
 }  // namespace

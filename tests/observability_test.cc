@@ -25,15 +25,14 @@
 #include "common/trace.h"
 #include "data/synthetic.h"
 #include "eval/harness.h"
+#include "test_util.h"
 
 namespace fairwos {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string TempPath(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
+using ::fairwos::testing::TempPath;
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path);

@@ -21,13 +21,16 @@
 #include "nn/gnn.h"
 #include "nn/optim.h"
 #include "tensor/ops.h"
+#include "test_util.h"
 
 namespace fairwos {
 namespace {
 
+using ::fairwos::testing::TempPath;
+using ::fairwos::testing::ToyDataset;
+
 std::string TempDir(const std::string& name) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / name).string();
+  const std::string dir = TempPath(name);
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -372,8 +375,6 @@ TEST(CheckpointRotationTest, MissingDirectoryIsNotFound) {
 }
 
 // --- Kill-and-resume determinism: baseline classifier ---------------------
-
-data::Dataset ToyDataset() { return data::MakeDataset("toy", {}).value(); }
 
 nn::GnnClassifier ToyClassifier(const data::Dataset& ds, common::Rng* rng) {
   nn::GnnConfig config;

@@ -21,6 +21,7 @@
 #include "fairness/metrics.h"
 #include "nn/guard.h"
 #include "nn/optim.h"
+#include "test_util.h"
 
 namespace fairwos {
 namespace {
@@ -317,7 +318,7 @@ TEST(SelfHealingTest, ZeroBudgetDisablesRecovery) {
 
 // --- Self-healing baseline training ------------------------------------------
 
-data::Dataset ToyDataset() { return data::MakeDataset("toy", {}).value(); }
+using ::fairwos::testing::ToyDataset;
 
 nn::GnnClassifier ToyClassifier(const data::Dataset& ds, common::Rng* rng) {
   nn::GnnConfig config;

@@ -24,15 +24,13 @@
 #include "serve/audit.h"
 #include "serve/engine.h"
 #include "serve/snapshot.h"
+#include "test_util.h"
 
 namespace fairwos::serve {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-data::Dataset ToyDataset() { return data::MakeDataset("toy", {}).value(); }
+using ::fairwos::testing::TempPath;
+using ::fairwos::testing::ToyDataset;
 
 std::unique_ptr<core::FittedModel> FitVanilla(const data::Dataset& ds,
                                               uint64_t seed,

@@ -10,7 +10,6 @@
 // (the serve-chaos job) with FAIRWOS_THREADS=4.
 #include <atomic>
 #include <cmath>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,15 +26,13 @@
 #include "serve/drift.h"
 #include "serve/engine.h"
 #include "serve/registry.h"
+#include "test_util.h"
 
 namespace fairwos::serve {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-data::Dataset ToyDataset() { return data::MakeDataset("toy", {}).value(); }
+using ::fairwos::testing::TempPath;
+using ::fairwos::testing::ToyDataset;
 
 /// Fits a small vanilla GNN and freezes it at `path`; returns the model id.
 std::string ExportArtifact(const data::Dataset& ds, uint64_t seed,

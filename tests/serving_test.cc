@@ -19,15 +19,13 @@
 #include "serve/artifact.h"
 #include "serve/engine.h"
 #include "serve/lru_cache.h"
+#include "test_util.h"
 
 namespace fairwos::serve {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-data::Dataset ToyDataset() { return data::MakeDataset("toy", {}).value(); }
+using ::fairwos::testing::TempPath;
+using ::fairwos::testing::ToyDataset;
 
 /// A real (small) fit through the public method API.
 std::unique_ptr<core::FittedModel> FitVanilla(const data::Dataset& ds,
