@@ -147,6 +147,35 @@ void BM_CounterfactualSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterfactualSearch)->Arg(1000)->Arg(5000);
 
+// Thread-scaling variant of the search: Args are (n, threads). n = 944 is
+// bail's node count at the default scale; the default config searches 512
+// anchors against a 1024-node pool.
+void BM_CounterfactualSearchThreaded(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  common::SetGlobalThreadCount(static_cast<int>(state.range(1)));
+  common::Rng rng(4);
+  tensor::Tensor emb = tensor::Tensor::RandNormal({n, 16}, 1.0f, &rng);
+  std::vector<std::vector<uint8_t>> bins(
+      static_cast<size_t>(n), std::vector<uint8_t>(16));
+  std::vector<int> labels(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    labels[static_cast<size_t>(i)] = static_cast<int>(rng.Bernoulli(0.5));
+    for (auto& b : bins[static_cast<size_t>(i)]) {
+      b = static_cast<uint8_t>(rng.Bernoulli(0.5));
+    }
+  }
+  core::CounterfactualConfig config;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::FindCounterfactuals(emb, bins, labels, config, &rng));
+  }
+  common::SetGlobalThreadCount(0);  // restore the default
+}
+BENCHMARK(BM_CounterfactualSearchThreaded)
+    ->Args({944, 1})
+    ->Args({944, 2})
+    ->Args({944, 4});
+
 void BM_LambdaSolver(benchmark::State& state) {
   const int64_t n = state.range(0);
   common::Rng rng(5);

@@ -26,11 +26,10 @@ using fairwos::core::CounterfactualSet;
 /// across pseudo-sensitive attributes.
 std::vector<std::pair<int64_t, int64_t>> TopPairs(const CounterfactualSet& cf) {
   std::vector<std::pair<int64_t, int64_t>> pairs;
-  for (const auto& per_attr : cf.matches) {
+  for (int64_t i = 0; i < cf.num_attrs(); ++i) {
     for (size_t a = 0; a < cf.anchors.size(); ++a) {
-      if (!per_attr[a].empty()) {
-        pairs.emplace_back(cf.anchors[a], per_attr[a][0]);
-      }
+      const auto matches = cf.Matches(i, a);
+      if (!matches.empty()) pairs.emplace_back(cf.anchors[a], matches[0]);
     }
   }
   return pairs;
@@ -93,7 +92,7 @@ int Main(int argc, char** argv) {
                 ds.sens[static_cast<size_t>(v)]);
     // Show the first two attributes' matches.
     for (int64_t i = 0; i < std::min<int64_t>(2, cf.num_attrs()); ++i) {
-      const auto& slot = cf.matches[static_cast<size_t>(i)][static_cast<size_t>(row)];
+      const auto slot = cf.Matches(i, static_cast<size_t>(row));
       std::printf("  pseudo-attr %lld (bin %d) counterfactuals:",
                   static_cast<long long>(i),
                   static_cast<int>(bins[static_cast<size_t>(v)][static_cast<size_t>(i)]));

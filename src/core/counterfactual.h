@@ -7,6 +7,7 @@
 #define FAIRWOS_CORE_COUNTERFACTUAL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,14 +25,27 @@ struct CounterfactualConfig {
   int64_t candidate_pool = 1024;
 };
 
-/// The search result: for attribute i and anchor position a,
-/// matches[i][a] holds up to K node ids ordered by increasing embedding
-/// distance. Fewer than K entries means the constraint set was exhausted.
+/// The search result, stored flat. Slot (i, a) — attribute i, anchor
+/// position a — holds up to K node ids ordered by increasing embedding
+/// distance; fewer than K means the constraint set was exhausted.
 struct CounterfactualSet {
   std::vector<int64_t> anchors;
-  std::vector<std::vector<std::vector<int64_t>>> matches;  // [I][A][<=K]
+  int64_t top_k = 0;
+  std::vector<int64_t> ids;    // [I·A·K]; slot (i, a) starts at (i·A + a)·K
+  std::vector<int64_t> count;  // [I·A]; ids filled in each slot
 
-  int64_t num_attrs() const { return static_cast<int64_t>(matches.size()); }
+  int64_t num_attrs() const {
+    return anchors.empty()
+               ? 0
+               : static_cast<int64_t>(count.size() / anchors.size());
+  }
+
+  /// The matches of anchor position `a` for attribute `i`, nearest first.
+  std::span<const int64_t> Matches(int64_t i, size_t a) const {
+    const size_t slot = static_cast<size_t>(i) * anchors.size() + a;
+    return {ids.data() + slot * static_cast<size_t>(top_k),
+            static_cast<size_t>(count[slot])};
+  }
 };
 
 /// Runs the top-K search of Eq. 12.
@@ -40,7 +54,9 @@ struct CounterfactualSet {
 /// values — the search itself is not differentiated through);
 /// `bins[v][i]` is the discretised value of pseudo-attribute i at node v;
 /// `pseudo_labels` come from the pre-trained classifier (semi-supervised
-/// setting, §III-D). Deterministic in (inputs, rng state).
+/// setting, §III-D). Deterministic in (inputs, rng state) and identical at
+/// any thread count: all sampling happens before the anchors are searched
+/// in parallel, and each anchor writes only its own slots.
 CounterfactualSet FindCounterfactuals(
     const tensor::Tensor& embeddings,
     const std::vector<std::vector<uint8_t>>& bins,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -10,6 +11,7 @@
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
+#include "common/threadpool.h"
 #include "common/trace.h"
 #include "core/lambda_solver.h"
 #include "fairness/metrics.h"
@@ -75,34 +77,57 @@ double ValLoss(const nn::GnnClassifier& model, const tensor::Tensor& x,
 }
 
 /// Per-attribute counterfactual distances Dᵢ (Eq. 13) measured on a plain
-/// embedding matrix, no tape — feeds the λ update and diagnostics.
+/// embedding matrix, no tape — feeds the λ update and diagnostics. The
+/// attributes run in parallel; each sum keeps its serial order.
 std::vector<double> MeasureDistances(const tensor::Tensor& emb,
-                                     const CounterfactualSet& cf,
-                                     int64_t top_k) {
-  const int64_t num_attrs = cf.num_attrs();
+                                     const CounterfactualSet& cf) {
   const int64_t dim = emb.dim(1);
   const double anchor_norm =
       1.0 / static_cast<double>(std::max<size_t>(cf.anchors.size(), 1));
-  std::vector<double> distances(static_cast<size_t>(num_attrs), 0.0);
+  std::vector<double> distances(static_cast<size_t>(cf.num_attrs()), 0.0);
   const float* data = emb.data().data();
-  for (int64_t i = 0; i < num_attrs; ++i) {
-    double total = 0.0;
-    for (size_t a = 0; a < cf.anchors.size(); ++a) {
-      const float* anchor = data + cf.anchors[a] * dim;
-      const auto& slot = cf.matches[static_cast<size_t>(i)][a];
-      const int64_t k_max =
-          std::min<int64_t>(top_k, static_cast<int64_t>(slot.size()));
-      for (int64_t k = 0; k < k_max; ++k) {
-        const float* other = data + slot[static_cast<size_t>(k)] * dim;
-        for (int64_t d = 0; d < dim; ++d) {
-          const double diff = static_cast<double>(anchor[d]) - other[d];
-          total += diff * diff;
+  common::ParallelFor(0, cf.num_attrs(), 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      double total = 0.0;
+      for (size_t a = 0; a < cf.anchors.size(); ++a) {
+        const float* anchor = data + cf.anchors[a] * dim;
+        for (int64_t match : cf.Matches(i, a)) {
+          const float* other = data + match * dim;
+          for (int64_t d = 0; d < dim; ++d) {
+            const double diff = static_cast<double>(anchor[d]) - other[d];
+            total += diff * diff;
+          }
         }
       }
+      distances[static_cast<size_t>(i)] = total * anchor_norm;
     }
-    distances[static_cast<size_t>(i)] = total * anchor_norm;
-  }
+  });
   return distances;
+}
+
+/// The Eq. 13 pairs of `cf` grouped for tensor::SegmentedPairSqDist: output
+/// i is attribute i, and its segment k pairs every anchor that has a k-th
+/// match with that match, in anchor order. Empty segments are left out.
+tensor::PairSegments DistancePairs(const CounterfactualSet& cf) {
+  tensor::PairSegments pairs;
+  for (int64_t i = 0; i < cf.num_attrs(); ++i) {
+    for (int64_t k = 0; k < cf.top_k; ++k) {
+      for (size_t a = 0; a < cf.anchors.size(); ++a) {
+        const std::span<const int64_t> matches = cf.Matches(i, a);
+        if (static_cast<int64_t>(matches.size()) > k) {
+          pairs.first.push_back(cf.anchors[a]);
+          pairs.second.push_back(matches[static_cast<size_t>(k)]);
+        }
+      }
+      const auto num_pairs = static_cast<int64_t>(pairs.first.size());
+      if (num_pairs > pairs.pair_offsets.back()) {
+        pairs.pair_offsets.push_back(num_pairs);
+      }
+    }
+    pairs.segment_offsets.push_back(
+        static_cast<int64_t>(pairs.pair_offsets.size()) - 1);
+  }
+  return pairs;
 }
 
 /// Pre-trains the classifier (Eq. 10) with best-validation checkpointing and
@@ -552,8 +577,9 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
       // shape every parameter update — including the first fine-tuning
       // epoch, which the utility-tolerance selection often keeps.
       if (config.use_weight_update) {
+        FW_TRACE_SPAN("fairwos/lambda");
         const std::vector<double> eval_distances =
-            MeasureDistances(frozen_emb, cf, config.counterfactual.top_k);
+            MeasureDistances(frozen_emb, cf);
         double mean_d = 0.0;
         for (double d : eval_distances) mean_d += d;
         mean_d /= static_cast<double>(eval_distances.size());
@@ -566,56 +592,55 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
       }
 
       // (c) θ update on Eq. 16.
-      opt.ZeroGrad();
-      tensor::Tensor h = model.Embed(x0, /*training=*/true, &rng);
-      tensor::Tensor logits = model.Logits(h);
-      tensor::Tensor total =
-          tensor::SoftmaxCrossEntropy(logits, ds.labels, ds.split.train);
-      const double loss_cls = total.item();  // CE before the fairness term
-      local_stats.final_distances.assign(static_cast<size_t>(num_attrs), 0.0);
-      const double anchor_norm =
-          1.0 / static_cast<double>(std::max<size_t>(cf.anchors.size(), 1));
-      std::vector<tensor::Tensor> distances(static_cast<size_t>(num_attrs));
-      for (int64_t i = 0; i < num_attrs; ++i) {
-        // Dᵢ = (1/|A|) Σ_a Σ_k ‖h_a − h̄ᵏ_a‖²  (Eq. 13 with Eq. 33's L2²).
-        tensor::Tensor d_i;
-        for (int64_t k = 0; k < config.counterfactual.top_k; ++k) {
-          std::vector<int64_t> anchor_ids, cf_ids;
-          for (size_t a = 0; a < cf.anchors.size(); ++a) {
-            const auto& slot = cf.matches[static_cast<size_t>(i)][a];
-            if (static_cast<int64_t>(slot.size()) > k) {
-              anchor_ids.push_back(cf.anchors[a]);
-              cf_ids.push_back(slot[static_cast<size_t>(k)]);
-            }
-          }
-          if (anchor_ids.empty()) continue;
-          tensor::Tensor diff = tensor::Sub(tensor::Rows(h, anchor_ids),
-                                            tensor::Rows(h, cf_ids));
-          tensor::Tensor dist = tensor::MulScalar(
-              tensor::SumSquares(diff), static_cast<float>(anchor_norm));
-          d_i = d_i.defined() ? tensor::Add(d_i, dist) : dist;
-        }
-        if (!d_i.defined()) continue;  // constraint set empty for attr i
-        distances[static_cast<size_t>(i)] = d_i;
-        local_stats.final_distances[static_cast<size_t>(i)] = d_i.item();
-      }
-      // Distances are normalized by their mean so that α is scale-free:
-      // the raw Dᵢ magnitude depends on the embedding scale, which varies
-      // across datasets and backbones (DESIGN.md §4).
+      tensor::Tensor total;
+      double loss_cls = 0.0;
       double mean_distance = 0.0;
-      for (double d : local_stats.final_distances) mean_distance += d;
-      mean_distance /= static_cast<double>(num_attrs);
-      const double scale =
-          mean_distance > 1e-12 ? 1.0 / mean_distance : 0.0;
-      for (int64_t i = 0; i < num_attrs; ++i) {
-        if (!distances[static_cast<size_t>(i)].defined()) continue;
-        total = tensor::Add(
-            total,
-            tensor::MulScalar(distances[static_cast<size_t>(i)],
-                              static_cast<float>(config.alpha * scale *
-                                                 lambda[static_cast<size_t>(i)])));
+      {
+        FW_TRACE_SPAN("fairwos/loss_build");
+        opt.ZeroGrad();
+        tensor::Tensor h = model.Embed(x0, /*training=*/true, &rng);
+        tensor::Tensor logits = model.Logits(h);
+        tensor::Tensor ce =
+            tensor::SoftmaxCrossEntropy(logits, ds.labels, ds.split.train);
+        loss_cls = ce.item();
+        tensor::PairSegments pairs = DistancePairs(cf);
+        std::vector<int64_t> present;  // attributes with a non-empty set
+        for (int64_t i = 0; i < num_attrs; ++i) {
+          const auto u = static_cast<size_t>(i);
+          if (pairs.segment_offsets[u + 1] > pairs.segment_offsets[u]) {
+            present.push_back(i);
+          }
+        }
+        // Dᵢ = (1/|A|) Σ_a Σ_k ‖h_a − h̄ᵏ_a‖²  (Eq. 13 with Eq. 33's L2²).
+        const double anchor_norm =
+            1.0 / static_cast<double>(std::max<size_t>(cf.anchors.size(), 1));
+        tensor::Tensor distances = tensor::SegmentedPairSqDist(
+            h, std::move(pairs), static_cast<float>(anchor_norm));
+        local_stats.final_distances.assign(static_cast<size_t>(num_attrs),
+                                           0.0);
+        for (int64_t i : present) {
+          const auto u = static_cast<size_t>(i);
+          local_stats.final_distances[u] = distances.data()[u];
+        }
+        // Distances are normalized by their mean so that α is scale-free:
+        // the raw Dᵢ magnitude depends on the embedding scale, which varies
+        // across datasets and backbones (DESIGN.md §4).
+        for (double d : local_stats.final_distances) mean_distance += d;
+        mean_distance /= static_cast<double>(num_attrs);
+        const double scale =
+            mean_distance > 1e-12 ? 1.0 / mean_distance : 0.0;
+        std::vector<float> weights;
+        for (int64_t i : present) {
+          weights.push_back(static_cast<float>(
+              config.alpha * scale * lambda[static_cast<size_t>(i)]));
+        }
+        total = tensor::AddScaledEntries(ce, distances, std::move(present),
+                                         std::move(weights));
       }
-      total.Backward();
+      {
+        FW_TRACE_SPAN("fairwos/backward");
+        total.Backward();
+      }
       const double loss_total = total.item();
       const double grad_norm = obs::TelemetryEnabled()
                                    ? nn::GlobalGradNorm(model.parameters())
@@ -633,9 +658,12 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
       // keep the *latest* epoch whose validation accuracy stays within the
       // utility tolerance of the pre-trained model; the best-validation
       // epoch is the fallback when no epoch qualifies.
-      auto eval = Evaluate(model, x0, &rng);
-      const double val_acc =
-          fairness::AccuracyPct(eval.pred, ds.labels, ds.split.val);
+      double val_acc = 0.0;
+      {
+        FW_TRACE_SPAN("fairwos/eval");
+        val_acc = fairness::AccuracyPct(Evaluate(model, x0, &rng).pred,
+                                        ds.labels, ds.split.val);
+      }
       epoch_window->Observe(epoch_watch.Millis());
       if (obs::TelemetryEnabled()) {
         grad_window->Observe(grad_norm);

@@ -326,6 +326,120 @@ Tensor SumSquares(const Tensor& a) {
   });
 }
 
+Tensor SegmentedPairSqDist(const Tensor& x, PairSegments segments,
+                           float scale) {
+  FW_CHECK_EQ(x.rank(), 2);
+  const int64_t n = x.dim(0), c = x.dim(1);
+  const auto& first = segments.first;
+  const auto& second = segments.second;
+  const auto& pair_off = segments.pair_offsets;
+  const auto& seg_off = segments.segment_offsets;
+  FW_CHECK_EQ(first.size(), second.size());
+  FW_CHECK(!pair_off.empty() && pair_off.front() == 0 &&
+           pair_off.back() == static_cast<int64_t>(first.size()) &&
+           std::is_sorted(pair_off.begin(), pair_off.end()))
+      << "SegmentedPairSqDist: bad pair_offsets";
+  FW_CHECK(!seg_off.empty() && seg_off.front() == 0 &&
+           seg_off.back() == static_cast<int64_t>(pair_off.size()) - 1 &&
+           std::is_sorted(seg_off.begin(), seg_off.end()))
+      << "SegmentedPairSqDist: bad segment_offsets";
+  for (size_t p = 0; p < first.size(); ++p) {
+    FW_CHECK(first[p] >= 0 && first[p] < n && second[p] >= 0 && second[p] < n)
+        << "SegmentedPairSqDist: row out of range";
+  }
+  const int64_t num_out = static_cast<int64_t>(seg_off.size()) - 1;
+  const float* xd = x.data().data();
+  FloatBuffer out(static_cast<size_t>(num_out), 0.0f);
+  // Outputs are independent; each builds the same row-major a − b buffer
+  // that Sub(Rows, Rows) would and reduces it through the backend, so the
+  // partial-sum chunking matches too.
+  common::ParallelFor(0, num_out, 1, [&](int64_t lo, int64_t hi) {
+    std::vector<float> diff;
+    for (int64_t o = lo; o < hi; ++o) {
+      for (int64_t s = seg_off[static_cast<size_t>(o)];
+           s < seg_off[static_cast<size_t>(o) + 1]; ++s) {
+        const int64_t p0 = pair_off[static_cast<size_t>(s)];
+        const int64_t p1 = pair_off[static_cast<size_t>(s) + 1];
+        diff.resize(static_cast<size_t>((p1 - p0) * c));
+        float* dst = diff.data();
+        for (int64_t p = p0; p < p1; ++p, dst += c) {
+          const float* a = xd + first[static_cast<size_t>(p)] * c;
+          const float* b = xd + second[static_cast<size_t>(p)] * c;
+          for (int64_t j = 0; j < c; ++j) dst[j] = a[j] - b[j];
+        }
+        const float dist =
+            static_cast<float>(ActiveBackend().Reduce(
+                ReduceKind::kSumSquares, diff.data(),
+                static_cast<int64_t>(diff.size()))) *
+            scale;
+        float& acc = out[static_cast<size_t>(o)];
+        acc = s == seg_off[static_cast<size_t>(o)] ? dist : acc + dist;
+      }
+    }
+  });
+  ImplPtr xi = x.impl_ptr();
+  return MakeOp(
+      {num_out}, std::move(out), {x},
+      [xi, sg = std::move(segments), scale, c](TensorImpl& self) {
+        if (!NeedsGrad(xi)) return;
+        xi->EnsureGrad();
+        const float* xd = xi->data.data();
+        float* gx = xi->grad.data();
+        // The replaced chain's reverse-topological order: outputs and their
+        // segments last to first; in each segment SumSquares hands Sub
+        // 2·(g·scale)·diff, whose negation reaches Rows(x, second) before
+        // the plain value reaches Rows(x, first), each row by row.
+        const auto scatter = [&](const std::vector<int64_t>& rows,
+                                 int64_t p0, int64_t p1, float g2) {
+          for (int64_t p = p0; p < p1; ++p) {
+            const float* a = xd + sg.first[static_cast<size_t>(p)] * c;
+            const float* b = xd + sg.second[static_cast<size_t>(p)] * c;
+            float* dst = gx + rows[static_cast<size_t>(p)] * c;
+            for (int64_t j = 0; j < c; ++j) dst[j] += g2 * (a[j] - b[j]);
+          }
+        };
+        for (size_t o = self.data.size(); o-- > 0;) {
+          const float g2 = 2.0f * (self.grad[o] * scale);
+          for (int64_t s = sg.segment_offsets[o + 1] - 1;
+               s >= sg.segment_offsets[o]; --s) {
+            const int64_t p0 = sg.pair_offsets[static_cast<size_t>(s)];
+            const int64_t p1 = sg.pair_offsets[static_cast<size_t>(s) + 1];
+            scatter(sg.second, p0, p1, -g2);
+            scatter(sg.first, p0, p1, g2);
+          }
+        }
+      });
+}
+
+Tensor AddScaledEntries(const Tensor& base, const Tensor& v,
+                        std::vector<int64_t> idx, std::vector<float> weights) {
+  FW_CHECK_EQ(base.numel(), 1);
+  FW_CHECK_EQ(v.rank(), 1);
+  FW_CHECK_EQ(idx.size(), weights.size());
+  float acc = base.data()[0];
+  for (size_t j = 0; j < idx.size(); ++j) {
+    FW_CHECK(idx[j] >= 0 && idx[j] < v.numel())
+        << "AddScaledEntries: index out of range";
+    acc = acc + v.data()[static_cast<size_t>(idx[j])] * weights[j];
+  }
+  ImplPtr bi = base.impl_ptr(), vi = v.impl_ptr();
+  return MakeOp({1}, {acc}, {base, v},
+                [bi, vi, idx = std::move(idx),
+                 weights = std::move(weights)](TensorImpl& self) {
+                  const float g = self.grad[0];
+                  if (NeedsGrad(bi)) {
+                    bi->EnsureGrad();
+                    bi->grad[0] += g;
+                  }
+                  if (NeedsGrad(vi)) {
+                    vi->EnsureGrad();
+                    for (size_t j = 0; j < idx.size(); ++j) {
+                      vi->grad[static_cast<size_t>(idx[j])] += g * weights[j];
+                    }
+                  }
+                });
+}
+
 Tensor Rows(const Tensor& x, const std::vector<int64_t>& idx) {
   FW_CHECK_EQ(x.rank(), 2);
   const int64_t n = x.dim(0), c = x.dim(1);

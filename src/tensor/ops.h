@@ -148,6 +148,34 @@ Tensor SoftCrossEntropy(const Tensor& logits, const Tensor& soft_targets,
 /// consistency distance, paper Eq. (33)).
 Tensor SumSquares(const Tensor& a);
 
+// --- Fused pair distances ----------------------------------------------------
+
+/// Row pairs of one matrix grouped for SegmentedPairSqDist: pairs
+/// [pair_offsets[s], pair_offsets[s+1]) form segment s, and segments
+/// [segment_offsets[o], segment_offsets[o+1]) sum into output o.
+struct PairSegments {
+  std::vector<int64_t> first;   // row of each pair's first member
+  std::vector<int64_t> second;  // row of each pair's second member
+  std::vector<int64_t> pair_offsets{0};     // num_segments + 1 entries
+  std::vector<int64_t> segment_offsets{0};  // num_outputs + 1 entries
+};
+
+/// out[o] = Σ_{s in o} scale · Σ_{p in s} ‖x[first[p]] − x[second[p]]‖² for
+/// a [N, C] matrix x -> [num_outputs], on one tape node (the Eq. 13
+/// distances). Bit-identical in value and in x's gradient to building, per
+/// segment, MulScalar(SumSquares(Sub(Rows(x, first), Rows(x, second))),
+/// scale) and left-folding each output's segments with Add: the backward
+/// replays that chain's reverse-topological accumulation order. An output
+/// with no segments is 0.
+Tensor SegmentedPairSqDist(const Tensor& x, PairSegments segments,
+                           float scale);
+
+/// base + w₀·v[idx₀] + w₁·v[idx₁] + … for a scalar `base` and a rank-1 `v`,
+/// left-folded in float -> [1]. Bit-identical in value and gradients to
+/// the chain Add(…Add(base, MulScalar(v[idx₀], w₀))…) on one tape node.
+Tensor AddScaledEntries(const Tensor& base, const Tensor& v,
+                        std::vector<int64_t> idx, std::vector<float> weights);
+
 }  // namespace fairwos::tensor
 
 #endif  // FAIRWOS_TENSOR_OPS_H_

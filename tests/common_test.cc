@@ -15,9 +15,12 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "test_util.h"
 
 namespace fairwos::common {
 namespace {
+
+using ::fairwos::testing::TempPath;
 
 TEST(StatusTest, OkByDefault) {
   Status s;
@@ -208,8 +211,7 @@ TEST(StringUtilTest, FormatMeanStd) {
 }
 
 TEST(CsvTest, RoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fw_csv_test.csv").string();
+  const std::string path = TempPath("fw_csv_test.csv");
   CsvTable table;
   table.header = {"a", "b"};
   table.rows = {{"1", "2"}, {"3", "4"}};
@@ -228,8 +230,7 @@ TEST(CsvTest, MissingFileIsIoError) {
 }
 
 TEST(CsvTest, SkipsBlankLinesAndCr) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fw_csv_cr.csv").string();
+  const std::string path = TempPath("fw_csv_cr.csv");
   std::ofstream out(path);
   out << "x,y\r\n\n1,2\r\n";
   out.close();

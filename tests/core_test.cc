@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/threadpool.h"
 #include "core/counterfactual.h"
 #include "core/encoder.h"
 #include "core/fairwos.h"
 #include "core/lambda_solver.h"
 #include "data/synthetic.h"
+#include "fairness/metrics.h"
 
 namespace fairwos::core {
 namespace {
@@ -189,7 +191,7 @@ TEST(CounterfactualTest, MatchesRespectConstraints) {
   ASSERT_EQ(cf.anchors.size(), 8u);
   for (size_t a = 0; a < cf.anchors.size(); ++a) {
     const int64_t v = cf.anchors[a];
-    for (int64_t m : cf.matches[0][a]) {
+    for (int64_t m : cf.Matches(0, a)) {
       EXPECT_NE(m, v) << "no self-matches";
       EXPECT_EQ(v < 4, m < 4) << "same (pseudo-)label required";
       EXPECT_NE(v % 2, m % 2) << "different pseudo-attribute bin required";
@@ -201,7 +203,7 @@ TEST(CounterfactualTest, NearestFirstOrdering) {
   common::Rng rng(3);
   auto cf = SmallSearch(&rng, 3);
   for (size_t a = 0; a < cf.anchors.size(); ++a) {
-    const auto& slot = cf.matches[0][a];
+    const auto slot = cf.Matches(0, a);
     const int64_t v = cf.anchors[a];
     for (size_t k = 1; k < slot.size(); ++k) {
       EXPECT_LE(std::abs(slot[k - 1] - v), std::abs(slot[k] - v))
@@ -213,10 +215,10 @@ TEST(CounterfactualTest, NearestFirstOrdering) {
 TEST(CounterfactualTest, TopKBoundsMatchCount) {
   common::Rng rng(4);
   auto cf = SmallSearch(&rng, 2);
-  for (const auto& per_anchor : cf.matches[0]) {
-    EXPECT_LE(per_anchor.size(), 2u);
+  for (size_t a = 0; a < cf.anchors.size(); ++a) {
+    EXPECT_LE(cf.Matches(0, a).size(), 2u);
     // Each half has 2 nodes of each parity, so 2 matches always exist.
-    EXPECT_EQ(per_anchor.size(), 2u);
+    EXPECT_EQ(cf.Matches(0, a).size(), 2u);
   }
 }
 
@@ -231,7 +233,9 @@ TEST(CounterfactualTest, ExhaustedConstraintGivesFewerMatches) {
   auto cf = FindCounterfactuals(
       tensor::Tensor::FromVector({4, 1}, {0, 1, 2, 3}), bins, labels, config,
       &rng);
-  for (const auto& per_anchor : cf.matches[0]) EXPECT_TRUE(per_anchor.empty());
+  for (size_t a = 0; a < cf.anchors.size(); ++a) {
+    EXPECT_TRUE(cf.Matches(0, a).empty());
+  }
 }
 
 TEST(CounterfactualTest, SamplingBoundsRespected) {
@@ -310,6 +314,43 @@ TEST(FairwosTrainerTest, DeterministicInSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->pred, b->pred);
+}
+
+TEST(FairwosTrainerTest, IdenticalAcrossThreadCounts) {
+  // The parallel search, distance measurement and fused loss must leave
+  // every reported number unchanged by the pool size.
+  auto ds = data::MakeDataset("toy", {}).value();
+  struct Run {
+    std::vector<int> pred;
+    std::vector<float> prob1;
+    double acc, dsp, deo;
+    std::vector<double> lambda, distances;
+  };
+  const auto fit = [&](int threads) {
+    common::SetGlobalThreadCount(threads);
+    FairwosStats stats;
+    auto out = TrainFairwos(FastConfig(), ds, 21, &stats);
+    common::SetGlobalThreadCount(0);
+    EXPECT_TRUE(out.ok());
+    const auto& test = ds.split.test;
+    return Run{out->pred,
+               out->prob1,
+               fairness::AccuracyPct(out->pred, ds.labels, test),
+               fairness::StatisticalParityGapPct(out->pred, ds.sens, test),
+               fairness::EqualOpportunityGapPct(out->pred, ds.labels, ds.sens,
+                                                test),
+               stats.lambda,
+               stats.final_distances};
+  };
+  const Run one = fit(1);
+  const Run four = fit(4);
+  EXPECT_EQ(one.pred, four.pred);
+  EXPECT_EQ(one.prob1, four.prob1);
+  EXPECT_EQ(one.acc, four.acc);
+  EXPECT_EQ(one.dsp, four.dsp);
+  EXPECT_EQ(one.deo, four.deo);
+  EXPECT_EQ(one.lambda, four.lambda);
+  EXPECT_EQ(one.distances, four.distances);
 }
 
 TEST(FairwosTrainerTest, AblationSwitchesChangeBehaviour) {

@@ -52,7 +52,7 @@ TEST(CounterfactualQualityTest, ConstraintsHoldOnRealData) {
   for (int64_t i = 0; i < fixture.cf.num_attrs(); ++i) {
     for (size_t a = 0; a < fixture.cf.anchors.size(); ++a) {
       const int64_t v = fixture.cf.anchors[a];
-      for (int64_t m : fixture.cf.matches[static_cast<size_t>(i)][a]) {
+      for (int64_t m : fixture.cf.Matches(i, a)) {
         EXPECT_EQ(fixture.ds.labels[static_cast<size_t>(v)],
                   fixture.ds.labels[static_cast<size_t>(m)]);
         EXPECT_NE(fixture.bins[static_cast<size_t>(v)][static_cast<size_t>(i)],
@@ -69,7 +69,7 @@ TEST(CounterfactualQualityTest, MatchesAreCloserThanRandomSameLabelPairs) {
   int64_t match_count = 0;
   for (int64_t i = 0; i < fixture.cf.num_attrs(); ++i) {
     for (size_t a = 0; a < fixture.cf.anchors.size(); ++a) {
-      const auto& slot = fixture.cf.matches[static_cast<size_t>(i)][a];
+      const auto slot = fixture.cf.Matches(i, a);
       if (slot.empty()) continue;
       match_total += Distance(fixture.embeddings, fixture.cf.anchors[a],
                               slot[0]);
@@ -115,7 +115,7 @@ TEST(CounterfactualQualityTest, SampledSearchApproximatesExact) {
     int64_t count = 0;
     for (int64_t i = 0; i < cf.num_attrs(); ++i) {
       for (size_t a = 0; a < cf.anchors.size(); ++a) {
-        const auto& slot = cf.matches[static_cast<size_t>(i)][a];
+        const auto slot = cf.Matches(i, a);
         if (slot.empty()) continue;
         total += Distance(fixture.embeddings, cf.anchors[a], slot[0]);
         ++count;
@@ -130,10 +130,8 @@ TEST(CounterfactualQualityTest, DeterministicGivenRngState) {
   auto a = BuildFixture(16);
   auto b = BuildFixture(16);
   ASSERT_EQ(a.cf.anchors, b.cf.anchors);
-  for (int64_t i = 0; i < a.cf.num_attrs(); ++i) {
-    EXPECT_EQ(a.cf.matches[static_cast<size_t>(i)],
-              b.cf.matches[static_cast<size_t>(i)]);
-  }
+  EXPECT_EQ(a.cf.ids, b.cf.ids);
+  EXPECT_EQ(a.cf.count, b.cf.count);
 }
 
 }  // namespace

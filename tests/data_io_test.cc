@@ -1,8 +1,6 @@
 // Round-trip tests for dataset persistence (data/io.h).
 #include "data/io.h"
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -10,18 +8,17 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "test_util.h"
 
 namespace fairwos::data {
 namespace {
 
+using ::fairwos::testing::TempPath;
+
 class DataIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // PID-qualified so concurrently running test processes (ctest -j) never
-    // remove each other's directory from TearDown.
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("fw_dataset_io." + std::to_string(::getpid())))
-               .string();
+    dir_ = TempPath("dataset_io");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -115,8 +115,10 @@ TEST(EdgeCaseTest, CounterfactualSearchWithTwoNodes) {
       tensor::Tensor::FromVector({2, 1}, {0.0f, 1.0f}), bins, labels, config,
       &rng);
   ASSERT_EQ(cf.anchors.size(), 2u);
-  EXPECT_EQ(cf.matches[0][0], std::vector<int64_t>({1}));
-  EXPECT_EQ(cf.matches[0][1], std::vector<int64_t>({0}));
+  ASSERT_EQ(cf.Matches(0, 0).size(), 1u);
+  ASSERT_EQ(cf.Matches(0, 1).size(), 1u);
+  EXPECT_EQ(cf.Matches(0, 0)[0], 1);
+  EXPECT_EQ(cf.Matches(0, 1)[0], 0);
 }
 
 TEST(EdgeCaseTest, DropoutProbabilityZeroIsIdentityEvenWhenTraining) {

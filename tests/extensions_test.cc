@@ -12,9 +12,12 @@
 #include "graph/algorithms.h"
 #include "nn/checkpoint.h"
 #include "nn/gnn.h"
+#include "test_util.h"
 
 namespace fairwos {
 namespace {
+
+using ::fairwos::testing::TempPath;
 
 std::vector<int64_t> AllIdx(size_t n) {
   std::vector<int64_t> idx(n);
@@ -151,8 +154,7 @@ TEST(PcaTest, TransformShapesAndCentering) {
 // --- Checkpoints ---------------------------------------------------------------
 
 TEST(CheckpointTest, SaveLoadRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fw_ckpt_test.bin").string();
+  const std::string path = TempPath("fw_ckpt_test.bin");
   common::Rng rng(5);
   graph::Graph g(4);
   g.AddEdge(0, 1);
@@ -171,9 +173,7 @@ TEST(CheckpointTest, SaveLoadRoundTrip) {
 }
 
 TEST(CheckpointTest, ArchitectureMismatchRejected) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fw_ckpt_mismatch.bin")
-          .string();
+  const std::string path = TempPath("fw_ckpt_mismatch.bin");
   common::Rng rng(6);
   graph::Graph g(4);
   nn::GnnConfig small;
@@ -190,9 +190,7 @@ TEST(CheckpointTest, ArchitectureMismatchRejected) {
 }
 
 TEST(CheckpointTest, GarbageFileRejected) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fw_ckpt_garbage.bin")
-          .string();
+  const std::string path = TempPath("fw_ckpt_garbage.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "this is not a checkpoint";

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include "tensor/ops.h"
+#include "test_util.h"
 
 namespace fairwos::graph {
 namespace {
+
+using ::fairwos::testing::TempPath;
 
 Graph Triangle() {
   Graph g(3);
@@ -106,8 +109,7 @@ TEST(GraphTest, GcnOperatorPreservesConstantVector) {
 }
 
 TEST(EdgeListIoTest, RoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fw_edges.csv").string();
+  const std::string path = TempPath("fw_edges.csv");
   std::ofstream out(path);
   out << "src,dst\n0,1\n1,2\n2,0\n";
   out.close();
@@ -119,8 +121,7 @@ TEST(EdgeListIoTest, RoundTrip) {
 }
 
 TEST(EdgeListIoTest, ExplicitNodeCountValidation) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fw_edges2.csv").string();
+  const std::string path = TempPath("fw_edges2.csv");
   std::ofstream out(path);
   out << "0,5\n";
   out.close();
@@ -132,8 +133,7 @@ TEST(EdgeListIoTest, ExplicitNodeCountValidation) {
 }
 
 TEST(EdgeListIoTest, RejectsMalformedRows) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fw_edges3.csv").string();
+  const std::string path = TempPath("fw_edges3.csv");
   std::ofstream out(path);
   out << "0\n";
   out.close();

@@ -2,10 +2,15 @@
 // slicing/concat/reshape, row normalisation, and the fused GAT aggregate —
 // forward values plus finite-difference gradient checks for each.
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gradcheck.h"
+#include "common/rng.h"
+#include "tensor/backend.h"
 #include "tensor/ops.h"
 
 namespace fairwos::tensor {
@@ -181,6 +186,136 @@ TEST(GatAggregateTest, ExtremeScoresAreStable) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_NEAR(v, 1.0f, 1e-4);
   }
+}
+
+
+// --- Fused Eq. 13 distances --------------------------------------------------
+
+/// Pairs of rows of an [n, ·] matrix in three outputs: output 0 has three
+/// segments (one long enough to span several Reduce partials when
+/// `long_segment`), output 1 none, output 2 one. Rows repeat within and
+/// across segments, so gradient scatters collide.
+PairSegments MakePairs(int64_t n, bool long_segment, uint64_t seed) {
+  common::Rng rng(seed);
+  PairSegments pairs;
+  const auto segment = [&](int64_t len) {
+    for (int64_t p = 0; p < len; ++p) {
+      pairs.first.push_back(rng.UniformInt(n));
+      pairs.second.push_back(rng.UniformInt(n));
+    }
+    pairs.pair_offsets.push_back(static_cast<int64_t>(pairs.first.size()));
+  };
+  segment(5);
+  segment(long_segment ? 5000 : 7);
+  segment(1);
+  pairs.segment_offsets.push_back(3);
+  pairs.segment_offsets.push_back(3);  // output 1: empty
+  segment(4);
+  pairs.segment_offsets.push_back(4);
+  return pairs;
+}
+
+/// The per-segment Rows/Sub/SumSquares/MulScalar/Add chain the fused ops
+/// replace, folded into `base` with one MulScalar/Add per non-empty output.
+Tensor ChainLoss(const Tensor& x, const Tensor& base, const PairSegments& pairs,
+                 float scale, const std::vector<float>& weights,
+                 std::vector<float>* outputs) {
+  Tensor total = base;
+  const size_t num_out = pairs.segment_offsets.size() - 1;
+  outputs->assign(num_out, 0.0f);
+  for (size_t o = 0; o < num_out; ++o) {
+    Tensor d;
+    for (int64_t s = pairs.segment_offsets[o]; s < pairs.segment_offsets[o + 1];
+         ++s) {
+      const auto lo = pairs.pair_offsets[static_cast<size_t>(s)];
+      const auto hi = pairs.pair_offsets[static_cast<size_t>(s) + 1];
+      const std::vector<int64_t> first(pairs.first.begin() + lo,
+                                       pairs.first.begin() + hi);
+      const std::vector<int64_t> second(pairs.second.begin() + lo,
+                                        pairs.second.begin() + hi);
+      Tensor dist = MulScalar(
+          SumSquares(Sub(Rows(x, first), Rows(x, second))), scale);
+      d = d.defined() ? Add(d, dist) : dist;
+    }
+    if (!d.defined()) continue;
+    (*outputs)[o] = d.data()[0];
+    total = Add(total, MulScalar(d, weights[o]));
+  }
+  return total;
+}
+
+template <typename A, typename B>
+bool SameBits(const A& a, const B& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Runs `body` under the scalar backend, then under auto dispatch, then
+/// restores the mode the process started with.
+void UnderBothSimdModes(const std::function<void(const char*)>& body) {
+  const SimdMode before =
+      ParseSimdMode(ActiveBackendInfo().requested_mode).value();
+  for (SimdMode mode : {SimdMode::kScalar, SimdMode::kAuto}) {
+    ASSERT_TRUE(SelectBackend(mode).ok());
+    body(SimdModeName(mode));
+  }
+  ASSERT_TRUE(SelectBackend(before).ok());
+}
+
+TEST(SegmentedPairSqDistTest, BitIdenticalToChain) {
+  UnderBothSimdModes([](const char* mode) {
+    for (bool long_segment : {false, true}) {
+      const int64_t n = 23, c = 7;  // odd width exercises SIMD tails
+      common::Rng rng(3);
+      Tensor x = Tensor::RandNormal({n, c}, 1.0f, &rng);
+      x.set_requires_grad(true);
+      const PairSegments pairs = MakePairs(n, long_segment, 4);
+      const float scale = 1.0f / 3.0f;
+      const std::vector<float> weights = {0.7f, 0.0f, 1.3f};
+      // x's other consumer is recorded first, as Logits(h) is in training.
+      const auto base = [&] { return Sum(Tanh(x)); };
+
+      x.ZeroGrad();
+      std::vector<float> chain_out;
+      Tensor chain = ChainLoss(x, base(), pairs, scale, weights, &chain_out);
+      chain.Backward();
+      const std::vector<float> chain_grad = x.grad();
+
+      x.ZeroGrad();
+      Tensor d = SegmentedPairSqDist(x, pairs, scale);
+      Tensor fused = AddScaledEntries(base(), d, {0, 2}, {0.7f, 1.3f});
+      fused.Backward();
+
+      EXPECT_TRUE(SameBits(d.data(), chain_out))
+          << mode << " long=" << long_segment;
+      EXPECT_TRUE(SameBits(fused.data(), chain.data()))
+          << mode << " long=" << long_segment;
+      EXPECT_TRUE(SameBits(x.grad(), chain_grad))
+          << mode << " long=" << long_segment;
+      EXPECT_EQ(d.data()[1], 0.0f) << "an output without segments is 0";
+    }
+  });
+}
+
+TEST(SegmentedPairSqDistTest, GradientsMatchFiniteDifferences) {
+  common::Rng rng(5);
+  Tensor x = Tensor::RandNormal({9, 3}, 1.0f, &rng);
+  const PairSegments pairs = MakePairs(9, false, 6);
+  ExpectGradientsMatch(x, [&] {
+    return Sum(Mul(SegmentedPairSqDist(x, pairs, 0.25f),
+                   Tensor::FromVector({3}, {1.0f, -2.0f, 0.5f})));
+  });
+}
+
+TEST(SegmentedPairSqDistTest, AddScaledEntriesGradients) {
+  common::Rng rng(7);
+  Tensor base = Tensor::RandNormal({1}, 1.0f, &rng);
+  Tensor v = Tensor::RandNormal({4}, 1.0f, &rng);
+  const auto loss = [&] {
+    return Tanh(AddScaledEntries(base, v, {3, 0}, {0.5f, -1.5f}));
+  };
+  ExpectGradientsMatch(v, loss);
+  ExpectGradientsMatch(base, loss);
 }
 
 }  // namespace
